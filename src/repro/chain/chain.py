@@ -62,6 +62,9 @@ class Blockchain:
         self.block_interval = block_interval
         self.blocks: list[Block] = [genesis_block(self.clock.now())]
         self.pending: list[Transaction] = []
+        # Per-sender count of ``pending``, kept beside it so the nonce checks
+        # are O(1) instead of a scan of the whole list per transaction.
+        self._pending_counts: dict[Address, int] = {}
         self.receipts: dict[bytes, Receipt] = {}
         self._checkpoints: list[_Checkpoint] = [
             _Checkpoint(self.evm.state.deep_copy(), dict(self.evm.contracts),
@@ -104,8 +107,7 @@ class Blockchain:
 
     def next_nonce(self, address: Address) -> int:
         """The nonce the next transaction from ``address`` must carry."""
-        pending_from_sender = sum(1 for tx in self.pending if tx.sender == address)
-        return self.state.nonce_of(address) + pending_from_sender
+        return self.state.nonce_of(address) + self._pending_counts.get(address, 0)
 
     # -- accounts ------------------------------------------------------------------
 
@@ -127,9 +129,7 @@ class Blockchain:
     def _validate(self, tx: Transaction) -> None:
         if not tx.verify_signature():
             raise InvalidTransaction("transaction signature is missing or invalid")
-        expected_nonce = self.state.nonce_of(tx.sender)
-        pending_from_sender = sum(1 for p in self.pending if p.sender == tx.sender)
-        expected_nonce += pending_from_sender
+        expected_nonce = self.next_nonce(tx.sender)
         if tx.nonce != expected_nonce:
             raise InvalidTransaction(
                 f"bad nonce: expected {expected_nonce}, got {tx.nonce} "
@@ -160,7 +160,7 @@ class Blockchain:
             raise InvalidTransaction(
                 "contract creation requires auto-mine mode in this simulator"
             )
-        self.pending.append(tx)
+        self._queue(tx)
         return None
 
     def validate_transaction(self, tx: Transaction) -> None:
@@ -185,12 +185,17 @@ class Blockchain:
             raise InvalidTransaction(
                 "enqueue_validated requires batch mode (auto_mine=False)"
             )
+        self._queue(tx)
+
+    def _queue(self, tx: Transaction) -> None:
         self.pending.append(tx)
+        self._pending_counts[tx.sender] = self._pending_counts.get(tx.sender, 0) + 1
 
     def mine_block(self) -> list[Receipt]:
         """Mine all pending transactions into a single block."""
         batch = [(tx, None) for tx in self.pending]
         self.pending = []
+        self._pending_counts = {}
         return self._mine(batch)
 
     def _mine(

@@ -15,7 +15,7 @@ from typing import Any
 from repro.chain import abi
 from repro.chain.address import Address, ZERO_ADDRESS, address_hex
 from repro.crypto.ecdsa import Signature, SignatureError
-from repro.crypto.keccak import keccak256
+from repro.crypto.keccak import keccak256, keccak256_pair
 from repro.crypto.keys import recover_address
 
 DEFAULT_GAS_LIMIT = 8_000_000
@@ -80,9 +80,27 @@ class Transaction:
         transaction is signed.  :meth:`sign_with` invalidates the memo.
         """
         if self._cached_hash is None:
-            sig_bytes = self.signature.to_bytes() if self.signature else b""
-            self._cached_hash = keccak256(self.signing_payload() + sig_bytes)
+            self._cached_hash = keccak256(self.signing_payload() + self._sig_bytes())
         return self._cached_hash
+
+    def _sig_bytes(self) -> bytes:
+        return self.signature.to_bytes() if self.signature else b""
+
+    def digests(self) -> tuple[bytes, bytes]:
+        """``(signing digest, transaction hash)`` computed from the fields.
+
+        One :func:`keccak256_pair` call absorbs the shared payload blocks
+        once.  Both values are recomputed on every call and the signing
+        digest is never memoised, so a node that checks the signature
+        against this digest checks the fields it holds, not anything a
+        client left behind.  The hash memo is only filled when empty: a
+        pooled transaction object mutated and resubmitted keeps the hash it
+        was pooled under, so removing it still finds its pool entry.
+        """
+        digest, tx_hash = keccak256_pair(self.signing_payload(), self._sig_bytes())
+        if self._cached_hash is None:
+            self._cached_hash = tx_hash
+        return digest, tx_hash
 
     def sign_with(self, keypair: "Any") -> "Transaction":
         """Sign in place using a :class:`repro.crypto.keys.KeyPair`-like object."""

@@ -3,16 +3,36 @@
 An Ethereum address is the last 20 bytes of ``keccak256(pubkey_x || pubkey_y)``
 where the public key coordinates are 32-byte big-endian integers (the
 uncompressed encoding without the ``0x04`` prefix).
+
+Address derivation goes through one process-wide memo keyed by the point's
+``(x, y)`` coordinates (:func:`_address_of`, an LRU bounded at
+:data:`ADDRESS_MEMO_SIZE` keys).  A node derives the same few addresses over
+and over -- every client signature recovers to a known key, and the client
+and Token Service key pairs are asked for their address on every request --
+so a keccak permutation per lookup becomes a dictionary hit.  The memo is a
+pure function cache: it holds no per-instance state, so key equality, hash
+and repr are exactly those of the frozen dataclasses.
 """
 
 from __future__ import annotations
 
 import secrets
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.crypto.ecdsa import Signature, recover, recover_batch, sign, verify
 from repro.crypto.keccak import keccak256
 from repro.crypto.secp256k1 import GENERATOR, N, Point, point_multiply
+
+#: bound on the address memo: comfortably above the number of distinct keys
+#: a benchmark or scenario run touches, small enough to stay a few MB.
+ADDRESS_MEMO_SIZE = 1 << 14
+
+
+@lru_cache(maxsize=ADDRESS_MEMO_SIZE)
+def _address_of(x: int, y: int) -> bytes:
+    """The 20-byte address of the public point ``(x, y)``, memoised."""
+    return keccak256(x.to_bytes(32, "big") + y.to_bytes(32, "big"))[-20:]
 
 
 @dataclass(frozen=True)
@@ -37,7 +57,9 @@ class PublicKey:
 
     def address(self) -> bytes:
         """The 20-byte Ethereum address for this key."""
-        return keccak256(self.to_bytes())[-20:]
+        if self.point.is_infinity():
+            raise ValueError("cannot serialise the point at infinity")
+        return _address_of(self.point.x, self.point.y)
 
     def address_hex(self) -> str:
         """The checksummed-free 0x-prefixed hex address."""
@@ -119,7 +141,7 @@ def recover_address(digest: bytes, signature: Signature) -> bytes:
     Mirrors Solidity's ``ecrecover`` which returns an address, not a key.
     """
     public_point = recover(digest, signature)
-    return PublicKey(public_point).address()
+    return _address_of(public_point.x, public_point.y)
 
 
 def recover_address_batch(
@@ -132,6 +154,6 @@ def recover_address_batch(
     unrecoverable entries come back as ``None`` instead of raising.
     """
     return [
-        PublicKey(point).address() if point is not None else None
+        _address_of(point.x, point.y) if point is not None else None
         for point in recover_batch(pairs)
     ]

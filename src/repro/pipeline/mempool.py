@@ -23,7 +23,15 @@ SMACS-specific pre-checks that need no gas and no EVM frame:
 Admission is the only place transaction signatures are verified; the block
 executor hands admitted transactions to the chain through
 :meth:`repro.chain.chain.Blockchain.enqueue_validated`, so the expensive
-recovery is paid exactly once per transaction.
+recovery is paid exactly once per transaction.  It is batched per admit
+call: :meth:`Mempool.admit_many` screens the batch with the O(1) checks,
+recovers every surviving sender in one GLV block-kernel call
+(:func:`repro.crypto.keys.recover_address_batch`), then runs the remaining
+checks transaction by transaction in submission order.  :meth:`Mempool.admit`
+is a batch of one.  The signing digest each recovery checks is recomputed
+from the transaction's fields (:meth:`Transaction.digests`, which also yields
+the transaction hash from the same sponge); nothing a client computed is
+trusted.
 """
 
 from __future__ import annotations
@@ -47,6 +55,7 @@ from repro.core.smacs_contract import (
 )
 from repro.core.token import MalformedToken, Token, TOKEN_SIZE
 from repro.core.verifier import TS_ADDRESS_SLOT
+from repro.crypto.keys import recover_address_batch
 from repro.crypto.sigcache import SignatureCache
 
 _WORD_BITS = 256
@@ -163,8 +172,9 @@ class Mempool:
         #: the durability layer uses to write mempool WAL records.
         self.admission_listener: "Any | None" = None
         #: optional :class:`repro.obs.Observability`; when attached (via
-        #: ``Observability.instrument_pipeline``), :meth:`admit` records the
-        #: ``admission`` stage histogram.  ``None`` costs one attribute check.
+        #: ``Observability.instrument_pipeline``), :meth:`admit_many` records
+        #: one ``admission`` stage sample per transaction.  ``None`` costs one
+        #: attribute check.
         self.obs: "Any | None" = None
         #: wall clock for propagated-deadline checks.  Deliberately *not*
         #: ``chain.clock`` (simulated block time): deadlines are stamped by
@@ -200,39 +210,96 @@ class Mempool:
     def admit(
         self, tx: Transaction, *, deadline: "float | None" = None
     ) -> AdmissionDecision:
-        """Run all admission checks; pool the transaction when they pass.
+        """Run all admission checks on one transaction (a batch of one)."""
+        return self.admit_many([tx], deadline=deadline)[0]
+
+    def admit_many(
+        self, txs: Iterable[Transaction], *, deadline: "float | None" = None
+    ) -> list[AdmissionDecision]:
+        """Run all admission checks; pool each transaction that passes.
+
+        Three passes over the batch.  First the O(1) screens -- signature
+        present, gas limit, hash dedup, deadline -- pick the transactions
+        still worth a curve recovery.  Then every surviving sender is
+        recovered in one :func:`recover_address_batch` call, deduplicated
+        within the batch.  Finally each transaction runs the full check
+        sequence in submission order with its recovered signer in hand, so
+        the decisions and reasons are those of admitting one at a time.
 
         ``deadline`` is an optional propagated absolute deadline
         (``time.time()`` seconds, the wire envelope's ``deadline`` field):
-        a transaction whose submitter already gave up is shed *before* the
-        expensive signature recovery in :meth:`_check_node_rules` -- under
-        overload, ecrecover cycles must go to work someone still wants.
+        when the submitter already gave up, the batch is shed *before* the
+        signature recovery -- under overload, ecrecover cycles must go to
+        work someone still wants.  The clock is read once per call, on
+        entry: a batch that was live then is recovered and checked whole,
+        even if the deadline passes while that work runs.  Callers that
+        want a late tail shed submit smaller batches.
+
+        Transaction signatures are unique, so recovery deliberately
+        bypasses the :class:`SignatureCache`: routing it there would only
+        add misses and evict the token entries issuance primed.
         """
+        txs = list(txs)
         obs = self.obs
-        if obs is None:
-            return self._admit(tx, deadline)
-        # Direct stage recording (no context manager, no span): admission is
-        # the per-transaction hot path, so the instrumented cost is two clock
-        # reads and one histogram observe.
-        t0 = obs.clock()
-        decision = self._admit(tx, deadline)
-        obs.record_stage("admission", obs.clock() - t0)
-        return decision
+        if obs is not None:
+            started = obs.clock()
+        expired = deadline is not None and self.wall_clock() >= deadline
+        hashes: list[bytes] = []
+        slots: "list[int | None]" = []  # index into the recovery batch
+        unique: "dict[tuple, int]" = {}
+        for tx in txs:
+            digest, tx_hash = tx.digests()
+            hashes.append(tx_hash)
+            if (
+                tx.signature is None
+                or tx.gas_limit > self.max_gas_limit
+                or expired
+                or tx_hash in self._pool
+                or tx_hash in self.chain.receipts
+            ):
+                slots.append(None)
+            else:
+                slots.append(unique.setdefault((digest, tx.signature), len(unique)))
+        if obs is not None:
+            screened = obs.clock()
+        signers = recover_address_batch(list(unique)) if unique else []
+        if obs is not None:
+            # One ``admission`` sample per transaction: its own checks, an
+            # equal share of the screening pass and, when its sender was
+            # recovered, an equal share of the batched recovery.
+            recovered = obs.clock()
+            screen_share = (screened - started) / max(len(txs), 1)
+            recover_share = (recovered - screened) / max(len(unique), 1)
+        decisions = []
+        for tx, tx_hash, slot in zip(txs, hashes, slots):
+            signer = signers[slot] if slot is not None else None
+            if obs is None:
+                decisions.append(self._admit(tx, tx_hash, expired, signer))
+                continue
+            t0 = obs.clock()
+            decisions.append(self._admit(tx, tx_hash, expired, signer))
+            share = screen_share + (recover_share if slot is not None else 0.0)
+            obs.record_stage("admission", obs.clock() - t0 + share)
+        return decisions
 
     def _admit(
-        self, tx: Transaction, deadline: "float | None" = None
+        self,
+        tx: Transaction,
+        tx_hash: bytes,
+        expired: bool,
+        signer: "bytes | None",
     ) -> AdmissionDecision:
-        tx_hash = tx.hash()
+        """The per-transaction checks, in order, with the signer recovered."""
         if tx_hash in self._pool or tx_hash in self.chain.receipts:
             return self._reject("duplicate transaction")
 
-        if deadline is not None and self.wall_clock() >= deadline:
-            # Checked after the O(1) dedup but before ecrecover: shedding
-            # dead work here costs microseconds, admitting it costs a curve
-            # recovery plus a pool slot nobody will claim.
+        if expired:
+            # Checked after the O(1) dedup but before anything else: shedding
+            # dead work here costs microseconds, admitting it costs a pool
+            # slot nobody will claim.
             return self._reject("deadline exceeded before admission")
 
-        decision = self._check_node_rules(tx)
+        decision = self._check_node_rules(tx, signer)
         if decision is not None:
             return decision
 
@@ -256,26 +323,25 @@ class Mempool:
             self.admission_listener(tx)
         return AdmissionDecision(True)
 
-    def admit_many(
-        self, txs: Iterable[Transaction], *, deadline: "float | None" = None
-    ) -> list[AdmissionDecision]:
-        return [self.admit(tx, deadline=deadline) for tx in txs]
-
     def _reject(self, reason: str) -> AdmissionDecision:
         self.rejected[reason] = self.rejected.get(reason, 0) + 1
         return AdmissionDecision(False, reason)
 
-    def _check_node_rules(self, tx: Transaction) -> "AdmissionDecision | None":
+    def _check_node_rules(
+        self, tx: Transaction, signer: "bytes | None"
+    ) -> "AdmissionDecision | None":
         """Signature / nonce / balance -- the checks ``Blockchain._validate``
         runs, but aware of nonces *and value* already held in this pool.
 
-        The cumulative-spend check matters because admitted transactions skip
-        re-validation at block inclusion: two transfers that are each covered
-        by the sender's balance but not jointly would otherwise both reach
-        the EVM, where the second blows up mid-block."""
+        ``signer`` is the address the signature recovered to (None when it
+        did not recover).  The cumulative-spend check matters because
+        admitted transactions skip re-validation at block inclusion: two
+        transfers that are each covered by the sender's balance but not
+        jointly would otherwise both reach the EVM, where the second blows
+        up mid-block."""
         if tx.gas_limit > self.max_gas_limit:
             return self._reject("transaction gas limit exceeds the block gas limit")
-        if not tx.verify_signature():
+        if signer != tx.sender:
             return self._reject("invalid signature")
         expected = (
             self.chain.state.nonce_of(tx.sender)

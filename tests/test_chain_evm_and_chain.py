@@ -173,6 +173,45 @@ def test_batch_mode_mines_pending_pool():
     assert chain.read(callee, "calls") == 3
 
 
+def test_pending_nonce_errors_with_two_queued_senders():
+    """The per-sender pending count gives the nonce errors the full scan gave."""
+    chain = Blockchain(auto_mine=False)
+    first = chain.create_account("first", seed="nonce-first")
+    second = chain.create_account("second", seed="nonce-second")
+    sink = chain.create_account("sink", seed="nonce-sink")
+
+    def transfer(account, nonce):
+        return Transaction(
+            sender=account.address, to=sink.address, nonce=nonce, value=1
+        ).sign_with(account.keypair)
+
+    for nonce in range(3):
+        chain.send_transaction(transfer(first, nonce))
+    for nonce in range(2):
+        chain.send_transaction(transfer(second, nonce))
+    assert chain.next_nonce(first.address) == 3
+    assert chain.next_nonce(second.address) == 2
+    assert chain.next_nonce(sink.address) == 0
+
+    with pytest.raises(InvalidTransaction, match="expected 3, got 2"):
+        chain.send_transaction(transfer(first, 2))
+    with pytest.raises(InvalidTransaction, match="expected 2, got 3"):
+        chain.send_transaction(transfer(second, 3))
+    with pytest.raises(InvalidTransaction, match="expected 0, got 1"):
+        chain.send_transaction(transfer(sink, 1))
+    assert len(chain.pending) == 5
+
+    chain.mine_block()
+    assert chain.pending == []
+    # Mined nonces now come from the state; the pending counts start over.
+    assert chain.next_nonce(first.address) == 3
+    with pytest.raises(InvalidTransaction, match="expected 2, got 0"):
+        chain.send_transaction(transfer(second, 0))
+    chain.send_transaction(transfer(first, 3))
+    assert chain.next_nonce(first.address) == 4
+    assert chain.next_nonce(second.address) == 2
+
+
 def test_block_timestamps_advance(chain, alice, bob):
     t0 = chain.latest_block.timestamp
     alice.transfer(bob, 1)

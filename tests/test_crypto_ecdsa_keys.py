@@ -1,9 +1,12 @@
 """Unit tests for ECDSA signatures, recovery and key/address handling."""
 
+import dataclasses
+
 import pytest
 
 from repro.crypto.ecdsa import Signature, SignatureError, recover, sign, verify
 from repro.crypto.keccak import keccak256
+from repro.crypto import keys
 from repro.crypto.keys import KeyPair, PrivateKey, PublicKey, recover_address
 from repro.crypto.secp256k1 import N
 
@@ -165,3 +168,50 @@ def test_private_key_bytes_roundtrip(keypair):
     raw = keypair.private.to_bytes()
     assert len(raw) == 32
     assert PrivateKey.from_bytes(raw) == keypair.private
+
+
+# --- the address memo ----------------------------------------------------------------
+
+
+def test_address_memo_matches_direct_derivation(keypair):
+    assert keypair.address == keccak256(keypair.public.to_bytes())[-20:]
+
+
+def test_address_memo_is_invisible_on_the_key_types():
+    """The memo lives beside the frozen dataclasses, not in them: deriving
+    an address adds no field and changes no equality, hash or repr."""
+    first = KeyPair.from_seed("memo-probe")
+    fresh = KeyPair.from_seed("memo-probe")
+    before = (repr(first), hash(first), repr(first.public), hash(first.public))
+    assert first.address == fresh.address
+    assert (repr(first), hash(first), repr(first.public), hash(first.public)) == before
+    assert first == fresh and first.public == fresh.public
+    assert [f.name for f in dataclasses.fields(PublicKey)] == ["point"]
+    assert vars(first.public) == {"point": first.public.point}
+    assert repr(first.public) == f"PublicKey(point={first.public.point!r})"
+
+
+def test_address_memo_evicts_past_its_bound(monkeypatch):
+    """Filling the memo with more distinct points than the bound keeps it at
+    the bound and evicts the oldest point.  keccak is stubbed so the fill is
+    cheap; the memo is cleared on both sides so no stub address leaks."""
+    monkeypatch.setattr(keys, "keccak256", lambda raw: raw[:32])
+    keys._address_of.cache_clear()
+    try:
+        for x in range(keys.ADDRESS_MEMO_SIZE + 8):
+            keys._address_of(x, 1)
+        assert keys._address_of.cache_info().currsize == keys.ADDRESS_MEMO_SIZE
+        misses = keys._address_of.cache_info().misses
+        keys._address_of(keys.ADDRESS_MEMO_SIZE + 7, 1)  # newest: still held
+        assert keys._address_of.cache_info().misses == misses
+        keys._address_of(0, 1)  # oldest: evicted, derived again
+        assert keys._address_of.cache_info().misses == misses + 1
+    finally:
+        keys._address_of.cache_clear()
+
+
+def test_address_of_infinity_is_refused():
+    from repro.crypto.secp256k1 import INFINITY
+
+    with pytest.raises(ValueError):
+        PublicKey(INFINITY).address()

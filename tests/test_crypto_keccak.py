@@ -3,8 +3,9 @@
 import hashlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.crypto.keccak import keccak256, keccak256_hex
+from repro.crypto.keccak import keccak256, keccak256_hex, keccak256_pair
 
 # Known-answer vectors for Ethereum's keccak-256 (not NIST SHA3-256).
 KNOWN_VECTORS = {
@@ -73,3 +74,40 @@ def test_accepts_bytearray():
 
 def test_hex_helper_matches_bytes():
     assert keccak256_hex(b"xyz") == keccak256(b"xyz").hex()
+
+
+# --- shared-prefix pair ----------------------------------------------------------
+
+
+@given(
+    prefix=st.integers(min_value=0, max_value=410).flatmap(
+        lambda n: st.binary(min_size=n, max_size=n)
+    ),
+    suffix_len=st.sampled_from([0, 1, 65]),
+    fill=st.integers(min_value=0, max_value=255),
+)
+@settings(max_examples=120, deadline=None)
+def test_pair_matches_two_independent_digests(prefix, suffix_len, fill):
+    """Prefix lengths straddle the 136-byte rate three times over; the
+    suffix lengths are the unsigned, one-byte and signed-transaction cases."""
+    suffix = bytes([fill]) * suffix_len
+    assert keccak256_pair(prefix, suffix) == (
+        keccak256(prefix), keccak256(prefix + suffix)
+    )
+
+
+@pytest.mark.parametrize("length", [0, 135, 136, 137, 271, 272, 273, 408])
+def test_pair_at_rate_boundaries(length):
+    prefix = bytes(range(256)) * 2
+    prefix = prefix[:length]
+    for suffix in (b"", b"\x01", b"\xee" * 65):
+        assert keccak256_pair(prefix, suffix) == (
+            keccak256(prefix), keccak256(prefix + suffix)
+        )
+
+
+def test_pair_rejects_non_bytes():
+    with pytest.raises(TypeError):
+        keccak256_pair("a string", b"")  # type: ignore[arg-type]
+    with pytest.raises(TypeError):
+        keccak256_pair(b"", "a string")  # type: ignore[arg-type]
